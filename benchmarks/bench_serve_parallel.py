@@ -11,9 +11,9 @@ sums exactly.
 Quick mode (``REPRO_QUICK=1``, used by CI) shrinks the workload so the
 parallel path is exercised on every PR in a few seconds.
 
-The speedup assertion is gated on core count: a thread pool cannot beat a
-serial loop on a single-core host, and CI runners vary; correctness is
-asserted unconditionally.
+The speedup assertion is gated on core count: worker processes cannot beat
+a serial loop on a single-core host (there the default executor runs
+inline), and CI runners vary; correctness is asserted unconditionally.
 """
 
 import os
@@ -119,8 +119,8 @@ def test_serve_parallel_vs_serial(benchmark, sink):
 
     cores = os.cpu_count() or 1
     if cores >= WORKERS:
-        # On a host with enough cores the pool must win outright; the
-        # scan's NumPy kernels release the GIL, so chunks overlap.
+        # On a host with enough cores the pool must win outright: chunks
+        # run on worker processes, one per core.
         assert response.elapsed < serial_time, (
             f"pooled batch ({response.elapsed:.3f}s) did not beat the "
             f"serial loop ({serial_time:.3f}s) on {cores} cores"

@@ -533,7 +533,8 @@ def _serve_sharded_section(args, workload, index, serial,
         f"{args.shards} length-band shards"
     )
     sharded = ShardedFexiproIndex.from_index(index, shards=args.shards,
-                                             workers=args.workers)
+                                             workers=args.workers,
+                                             executor=args.executor)
     started = time.perf_counter()
     skipped = scanned = 0
     identical = True
@@ -544,11 +545,12 @@ def _serve_sharded_section(args, workload, index, serial,
         skipped += result.stats.shards_skipped
         scanned += len(reports)
     sharded_time = time.perf_counter() - started
+    sharded.close()  # the service below runs its own worker processes
     m = len(workload.queries)
     report.print_table(
         ["mode", "avg latency (s)", "speedup"],
         [["serial single scan", round(serial_time / m, 5), 1.0],
-         [f"sharded x{args.shards} ({sharded.resolved_workers} workers)",
+         [f"sharded x{args.shards} ({args.executor} executor)",
           round(sharded_time / m, 5),
           round(serial_time / sharded_time, 2) if sharded_time else 0.0]],
     )
@@ -753,15 +755,13 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if name == "serve":
             cmd.add_argument("--workers", type=int, default=4,
-                             help="thread-pool size for the batch "
+                             help="worker processes for the batch "
                                   "serving comparison (default 4)")
             cmd.add_argument("--executor", default="auto",
-                             choices=("auto", "process", "thread",
-                                      "serial"),
+                             choices=("auto", "process", "serial"),
                              help="scan execution backend: 'process' runs "
                                   "scans on real cores over a shared-"
-                                  "memory index replica, 'thread' keeps "
-                                  "the GIL-bound pool, 'serial' runs "
+                                  "memory index replica, 'serial' runs "
                                   "inline; 'auto' (default) picks "
                                   "processes when they can win")
             cmd.add_argument("--engine", default=None,

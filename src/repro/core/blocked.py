@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from .. import _faultsites
-from .options import ScanOptions, _UNSET, resolve_scan_options
+from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
 from .stats import PruningStats
 from .topk import TopKBuffer
 
@@ -65,17 +65,13 @@ def block_schedule(n: int, k: int, cap: int):
 
 def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
                  block_size: int = DEFAULT_BLOCK_SIZE,
-                 timings=_UNSET,
                  *, start: int = 0, stop: Optional[int] = None,
-                 shared=_UNSET, deadline=_UNSET,
-                 initial_threshold=_UNSET,
                  options: Optional[ScanOptions] = None,
                  ) -> Tuple[TopKBuffer, PruningStats]:
     """Blocked, vectorized equivalent of :func:`repro.core.scanner.scan_reference`.
 
     Per-call behaviour rides in ``options`` (a
-    :class:`~repro.core.options.ScanOptions`); the same-named individual
-    keywords are deprecated shims that warn and override the bundle.
+    :class:`~repro.core.options.ScanOptions`).
 
     When ``options.timings`` is given, the wall time of each vectorized
     stage section is accumulated per block (a handful of clock calls per
@@ -119,9 +115,7 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
     live threshold at block entry, plus termination/deadline events; a
     ``None`` span costs one branch per block.
     """
-    opts = resolve_scan_options(options, "scan_blocked", timings=timings,
-                                shared=shared, deadline=deadline,
-                                initial_threshold=initial_threshold)
+    opts = DEFAULT_SCAN_OPTIONS if options is None else options
     timings = opts.timings
     shared = opts.shared
     deadline = opts.deadline

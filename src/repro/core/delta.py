@@ -92,12 +92,12 @@ class LiveCatalog:
     - ``delta_items``/``delta_ids``/``delta_norms``: appended raw rows.
     - ``delta_dead``/``base_dead``: positional tombstone masks.
     - ``epoch`` bumps only when the preprocessed basis changes (build or
-      compaction) — warm-start positions and cached GEMM row norms bind
-      to it.
+      compaction) — cached GEMM row norms bind to it.
     - ``catalog_version`` bumps on every visible-content change (add or
-      remove) and is *preserved* by compaction — the query cache binds
-      exact hits to it, which is what lets a warm entry survive an epoch
-      swap bitwise-intact.
+      remove) and is *preserved* by compaction.  The query cache and the
+      reverse bound table bind to ``(uid, epoch, catalog_version)``: a
+      fresh basis rounds scores differently at the ulp level, so nothing
+      cached crosses a compaction.
     - ``state_version`` bumps on every swap of any kind — process-pool
       replicas bind to it.
 

@@ -64,7 +64,7 @@ import numpy as np
 from .. import _faultsites
 from .._validation import safe_norm, safe_row_norms
 from .blocked import block_schedule
-from .options import ScanOptions, resolve_scan_options
+from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
 from .stats import PruningStats
 from .topk import TopKBuffer
 
@@ -208,7 +208,7 @@ def scan_gemm(index: "FexiproIndex", qs: "QueryState", k: int,
     length-sorted prefix visited (``stats.deadline_hit`` set), the same
     degradation contract as the other engines.
     """
-    opts = resolve_scan_options(options, "scan_gemm")
+    opts = DEFAULT_SCAN_OPTIONS if options is None else options
     timings = opts.timings
     shared = opts.shared
     deadline = opts.deadline

@@ -16,9 +16,10 @@ tiers:
 - **exact** thresholds — the k-th score of a previously computed forward
   result for ``q_u`` (from this index's own verifications, or from the
   serving layer's :class:`~repro.serve.cache.QueryCache`), bound to the
-  item catalog's ``(uid, catalog_version)`` token exactly like cache
-  entries.  An exact threshold prunes *and* admits: ``q_u . p`` strictly
-  above the true k-th score proves membership with no scan at all.
+  item catalog's ``(uid, epoch, catalog_version)`` token exactly like
+  cache entries.  An exact threshold prunes *and* admits: ``q_u . p``
+  strictly above the true k-th score proves membership with no scan at
+  all.
 - **length-sort** fallbacks — the smallest of ``u``'s scores against the
   ``k`` largest-norm visible items.  Any ``k`` achievable scores
   lower-bound the k-th best; taking the items FEXIPRO's length-sorted
@@ -264,21 +265,23 @@ class _BoundTable:
 
     ``exact`` maps user external id -> the forward engines' k-th score
     for that user, valid only while the item catalog's
-    ``(uid, catalog_version)`` token matches — the same binding the
-    query cache uses, which is what lets entries survive a compaction
-    (content-preserving, bitwise-stable) but never a visible-content
-    change (adds can raise the true k-th score's *row*, removes can
-    lower it, so neither direction is safe to keep).
+    ``(uid, epoch, catalog_version)`` token matches — the same binding
+    the query cache uses.  A visible-content change can move the true
+    k-th score either way (adds raise it, removes lower it); a compaction
+    keeps the content but re-derives the SVD basis, so a fresh scan
+    rounds the k-th score differently, and a ``nextafter`` warm-start
+    seed below an old-basis score could sit above the new one and
+    over-prune.  Neither survives.
     """
 
     __slots__ = ("k", "token", "exact")
 
     def __init__(self, k: int):
         self.k = k
-        self.token: Optional[Tuple[str, int]] = None
+        self.token: Optional[Tuple[str, int, int]] = None
         self.exact: Dict[int, float] = {}
 
-    def validate(self, token: Tuple[str, int]) -> None:
+    def validate(self, token: Tuple[str, int, int]) -> None:
         if token != self.token:
             self.exact.clear()
             self.token = token
@@ -550,7 +553,7 @@ class ReverseIndex:
                 item_catalog_version=fsnap.catalog_version,
                 user_catalog_version=usnap.catalog_version)
 
-        token = (fsnap.uid, fsnap.catalog_version)
+        token = (fsnap.uid, fsnap.epoch, fsnap.catalog_version)
         with self._lock:
             table = self._tables.setdefault(k, _BoundTable(k))
             table.validate(token)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from .. import _faultsites
 from .bounds import scaled_head_bound, scaled_tail_bound
-from .options import ScanOptions, _UNSET, resolve_scan_options
+from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
 from .stats import PruningStats
 from .topk import TopKBuffer
 
@@ -31,9 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - imported only for type checking
 MAX_THRESHOLD_EVENTS = 96
 
 
-def scan_reference(index: "FexiproIndex", qs: "QueryState", k: int,
-                   timings=_UNSET, *, deadline=_UNSET,
-                   initial_threshold=_UNSET,
+def scan_reference(index: "FexiproIndex", qs: "QueryState", k: int, *,
                    options: Optional[ScanOptions] = None,
                    ) -> Tuple[TopKBuffer, PruningStats]:
     """Run Algorithm 4 with the Algorithm 5 coordinate scan, one item at a time.
@@ -64,13 +62,8 @@ def scan_reference(index: "FexiproIndex", qs: "QueryState", k: int,
         :data:`MAX_THRESHOLD_EVENTS` raises) plus termination/deadline
         events.  ``shared`` is ignored — this engine never runs inside a
         shard fan-out.
-    timings, deadline, initial_threshold:
-        Deprecated aliases for the same-named ``options`` fields; passing
-        any of them warns and overrides the bundle.
     """
-    opts = resolve_scan_options(options, "scan_reference", timings=timings,
-                                deadline=deadline,
-                                initial_threshold=initial_threshold)
+    opts = DEFAULT_SCAN_OPTIONS if options is None else options
     timings = opts.timings
     deadline = opts.deadline
     budget = opts.budget

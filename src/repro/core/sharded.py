@@ -3,9 +3,10 @@
 PR 1 parallelized *across* queries; a single query still scanned all n
 items on one core.  This module partitions the length-sorted item matrix
 into S contiguous length bands ("shards") and answers **one** query by
-scanning the shards concurrently on the GIL-releasing NumPy kernels of the
-blocked engine — the intra-query axis of parallelism, the one that cuts
-tail latency for a single hot query.
+scanning the shards on the worker processes of a
+:class:`~repro.serve.procpool.ProcessScanPool` — the intra-query axis of
+parallelism, the one that cuts tail latency for a single hot query — or
+inline, one shard after another in band order.
 
 Exactness is preserved by construction:
 
@@ -51,14 +52,12 @@ Example
 from __future__ import annotations
 
 import math
-import os
-import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .. import _faultsites
+from .._host import usable_cores
 from .._validation import as_query_vector, check_k
 from ..exceptions import ValidationError
 from .blocked import scan_blocked
@@ -70,7 +69,7 @@ from .delta import (
     scan_delta,
 )
 from .index import FexiproIndex, QueryState, _empty_result
-from .options import ScanOptions, _UNSET, resolve_scan_options
+from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
 from .stats import (
     PruningStats,
     RetrievalResult,
@@ -87,9 +86,8 @@ __all__ = [
     "shard_spans",
 ]
 
-#: Valid values for the ``executor`` knob (how the intra-query fan-out
-#: actually runs when the caller supplies no pool of its own).
-EXECUTORS = ("auto", "process", "thread", "serial")
+#: Valid values for the ``executor`` knob (where the shard fan-out runs).
+EXECUTORS = ("auto", "process", "serial")
 
 #: The span-capable scan kernels — what a shard can actually run, and
 #: what the planner chooses between for a sharded query.
@@ -101,14 +99,14 @@ SHARD_ENGINES = SPAN_ENGINES + ("auto",)
 
 
 def default_shards() -> int:
-    """A sensible shard count for this host: one per core, in [2, 16].
+    """A sensible shard count for this host: one per usable core, in [2, 16].
 
     Two shards minimum so the shard-skip test has something to skip even on
     a single-core host (shards then run sequentially, each seeded by its
     predecessors); sixteen maximum because the per-query fan-out cost grows
     with S while the marginal parallelism of tiny shards shrinks.
     """
-    return max(2, min(16, os.cpu_count() or 1))
+    return max(2, min(16, usable_cores()))
 
 
 def shard_spans(n: int, shards: int) -> List[Tuple[int, int]]:
@@ -143,22 +141,19 @@ class SharedThreshold:
     fewer than k exist, which the cell ignores) and read :attr:`value` when
     they start and at block boundaries.  The value is therefore always a
     score *achieved by k collected items*, i.e. a valid lower bound on the
-    global k-th best; pruning against it is exact.
-
-    Reads are deliberately lock-free: a torn/stale read can only return an
-    older (smaller) value, which weakens pruning but never misprunes.
-    Writes take the lock so the cell never moves backwards.
+    global k-th best; pruning against it is exact.  The inline fan-out
+    owns one cell per query; the process fan-out uses a shared-memory
+    twin (:mod:`repro.serve.procpool`) with the same two methods.
     """
 
-    __slots__ = ("_value", "_lock")
+    __slots__ = ("_value",)
 
     def __init__(self, value: float = -math.inf):
         self._value = float(value)
-        self._lock = threading.Lock()
 
     @property
     def value(self) -> float:
-        """Current best-so-far threshold (monotone, lock-free read)."""
+        """Current best-so-far threshold (monotone)."""
         return self._value
 
     def offer(self, candidate: float) -> bool:
@@ -170,11 +165,8 @@ class SharedThreshold:
         candidate = float(candidate)
         if candidate <= self._value:
             return False
-        with self._lock:
-            if candidate > self._value:
-                self._value = candidate
-                return True
-            return False
+        self._value = candidate
+        return True
 
 
 @dataclass
@@ -201,8 +193,8 @@ def scan_shard_span(index: FexiproIndex, qs: QueryState, k: int,
 
     This is the body of the sharded scan's per-shard task, hoisted to
     module level so it is importable by reference from worker
-    *processes* (closures do not pickle); the in-process thread path
-    calls exactly the same function, so the two executors cannot drift.
+    *processes* (closures do not pickle); the inline fan-out calls
+    exactly the same function, so the two executors cannot drift.
 
     ``shared`` is anything with the :class:`SharedThreshold` duck type —
     the in-process cell, or a cross-process slot.  ``seed`` is the
@@ -330,20 +322,18 @@ class ShardedFexiproIndex:
         Number of contiguous length bands (default: one per core, in
         [2, 16]).  ``shards=1`` degenerates to the plain single scan.
     workers:
-        Threads for the intra-query fan-out (default: ``shards``); the
-        effective pool size is clamped to the host core count, and the
-        shards run sequentially — in band order, each seeded by its
-        predecessors — when only one worker is available.
+        Worker processes for the intra-query fan-out (default:
+        ``shards``; at most one per shard).
     executor:
-        How the fan-out runs when no external pool is supplied:
-        ``"process"`` scans shards on real cores via a
-        :class:`repro.serve.procpool.ProcessScanPool` over a
-        shared-memory replica (falling back in-process when the host
-        cannot start one); ``"thread"`` keeps the GIL-bound thread pool;
-        ``"serial"`` forces the deterministic inline order; ``"auto"``
-        (default) picks processes only when they can actually win —
-        multiple workers, shards and cores, and no in-process-only
-        instrumentation (armed fault injector, tracer span) active.
+        Where the fan-out runs: ``"process"`` scans shards on real cores
+        via a :class:`repro.serve.procpool.ProcessScanPool` over a
+        shared-memory replica (falling back inline when the host cannot
+        start one); ``"serial"`` runs the shards inline, in band order,
+        each seeded by its predecessors; ``"auto"`` (default) picks
+        processes only when they can actually win — multiple workers,
+        shards and usable cores, the blocked engine, no finite FLOP
+        budget, and no in-process-only instrumentation (armed fault
+        injector, tracer span) active — and the inline order otherwise.
     **index_options:
         Forwarded to :class:`FexiproIndex` (``variant``, ``rho``, ``e``,
         ``block_size``, ...).  ``engine`` may be ``"blocked"`` (default),
@@ -412,7 +402,6 @@ class ShardedFexiproIndex:
                 f"executor must be one of {EXECUTORS}; got {executor!r}"
             )
         self.executor = executor
-        self._pool = None
         self._procpool = None
 
     # ------------------------------------------------------------------
@@ -479,29 +468,15 @@ class ShardedFexiproIndex:
         return result
 
     def query_detailed(
-        self, query, k: int = 10, *, pool=None,
-        timings: Optional[StageTimings] = _UNSET,
+        self, query, k: int = 10, *,
         options: Optional[ScanOptions] = None,
         engine: Optional[str] = None,
     ) -> Tuple[RetrievalResult, List[ShardScanReport]]:
         """Like :meth:`query`, also returning per-shard scan reports.
 
-        .. deprecated::
-            The ``timings=`` keyword is deprecated; pass the accumulator
-            through the options bundle instead
-            (``options=ScanOptions(timings=...)`` or
-            ``options.replace(timings=...)``), the same channel every
-            other surface uses.
+        ``options.timings``, when set, accumulates the shards' per-stage
+        wall time.
         """
-        if timings is not _UNSET:
-            warnings.warn(
-                "query_detailed(timings=...) is deprecated; pass "
-                "options=ScanOptions(timings=...) instead",
-                DeprecationWarning, stacklevel=2,
-            )
-            if timings is not None:
-                base = options if options is not None else ScanOptions()
-                options = base.replace(timings=timings)
         timings_acc = options.timings if options is not None else None
         snap = self.index._live
         q = as_query_vector(query, snap.d)
@@ -514,7 +489,7 @@ class ShardedFexiproIndex:
             ), []
         qs = self.index._prepare_query(q, snapshot=snap)
         buffer, total, reports, scan_timings = self._scan_sharded(
-            qs, k, pool=pool, collect_timings=timings_acc is not None,
+            qs, k, collect_timings=timings_acc is not None,
             options=options, snapshot=snap, engine=engine,
         )
         if timings_acc is not None and scan_timings is not None:
@@ -562,22 +537,22 @@ class ShardedFexiproIndex:
     # The sharded scan
     # ------------------------------------------------------------------
 
-    def _scan_sharded(self, qs: QueryState, k: int, *, pool=None,
-                      collect_timings: bool = False, deadline=_UNSET,
-                      initial_threshold=_UNSET,
+    def _scan_sharded(self, qs: QueryState, k: int, *,
+                      collect_timings: bool = False,
                       options: Optional[ScanOptions] = None,
                       engine: Optional[str] = None,
-                      snapshot: Optional[LiveCatalog] = None):
+                      snapshot: Optional[LiveCatalog] = None,
+                      inline: bool = False):
         """Fan one prepared query out over the shards and merge exactly.
 
         Returns ``(merged_buffer, total_stats, reports, timings)``.  The
-        caller may supply a :class:`repro.serve.executor.WorkerPool` (the
-        serving layer shares its own); otherwise the index's lazily created
-        pool is used.  With one worker the pool runs the shard closures
-        inline in submission order — the deterministic mode the property
-        tests pin down.  Per-call behaviour rides in ``options`` (a
-        :class:`~repro.core.options.ScanOptions`); the ``deadline`` /
-        ``initial_threshold`` keywords are deprecated shims.
+        fan-out runs on the index's process pool when :attr:`executor`
+        allows it (see :meth:`_maybe_procpool`); otherwise — and always
+        with ``inline=True``, which the serving layer passes because it
+        runs its own pool — the shards are scanned inline in band order,
+        each seeded by its predecessors: the deterministic schedule the
+        property tests pin down.  Per-call behaviour rides in ``options``
+        (a :class:`~repro.core.options.ScanOptions`).
 
         ``options.initial_threshold`` seeds the :class:`SharedThreshold`
         cell before any shard starts (the warm-start path of
@@ -605,9 +580,7 @@ class ShardedFexiproIndex:
         and outcome — scanned / skipped / deadline / empty) plus a
         ``merge`` event on the parent after the exact merge.
         """
-        opts = resolve_scan_options(
-            options, "ShardedFexiproIndex._scan_sharded",
-            deadline=deadline, initial_threshold=initial_threshold)
+        opts = DEFAULT_SCAN_OPTIONS if options is None else options
         deadline = opts.deadline
         trace_span = opts.span
         index = self.index
@@ -628,7 +601,7 @@ class ShardedFexiproIndex:
         # The base engine collects at the inflated capacity so tombstone
         # masking can never leave fewer than k alive survivors.
         k_eff = effective_k(snap, k)
-        if pool is None and engine == "blocked" and not budgeted:
+        if not inline and engine == "blocked" and not budgeted:
             procpool = self._maybe_procpool(opts)
             if procpool is not None:
                 out = self._scan_sharded_process(
@@ -637,8 +610,8 @@ class ShardedFexiproIndex:
                     return out
                 # Replica publication raced a concurrent mutation (its
                 # token no longer matches this scan's snapshot): fall
-                # back to the in-process fan-out over the captured
-                # snapshot rather than scan someone else's catalog.
+                # back to the inline fan-out over the captured snapshot
+                # rather than scan someone else's catalog.
         shared = SharedThreshold(opts.initial_threshold)
         if trace_span is not None:
             trace_span.set(mode="sharded", shards=len(spans),
@@ -660,20 +633,13 @@ class ShardedFexiproIndex:
             )
             return (buffer, stats, seed, shard_timings)
 
-        if budgeted:
-            # Greedy best-first budget allocation: spans are descending
-            # length bands, so scanning them serially in span order feeds
-            # the shared FlopBudget to the shards with the highest
-            # Cauchy–Schwarz upper-bound potential first, and each shard
-            # inherits exactly the units its predecessors left over.  A
-            # parallel fan-out would race the accounting and split the
-            # budget arbitrarily; serial execution makes the spend — and
-            # therefore the scanned prefix — deterministic.
-            outputs = [run_shard(numbered)
-                       for numbered in enumerate(spans)]
-        else:
-            outputs = self._resolve_pool(pool).map(run_shard,
-                                                   list(enumerate(spans)))
+        # Band order is also the greedy best-first budget allocation:
+        # spans are descending length bands, so a shared FlopBudget feeds
+        # the shards with the highest Cauchy–Schwarz upper-bound potential
+        # first, and each shard inherits exactly the units its
+        # predecessors left over — a deterministic spend, and therefore a
+        # deterministic scanned prefix.
+        outputs = [run_shard(numbered) for numbered in enumerate(spans)]
 
         merged = TopKBuffer(k_eff)
         total = PruningStats()
@@ -704,21 +670,21 @@ class ShardedFexiproIndex:
                               opts: ScanOptions, collect_timings: bool,
                               snap: LiveCatalog,
                               spans: List[Tuple[int, int]]):
-        """The multi-process twin of the in-process fan-out below.
+        """The multi-process twin of the inline fan-out.
 
         The workers attach the published replica of :attr:`index` and run
         the very same :func:`scan_shard_span`; the cross-shard threshold
         lives in a shared-memory slot and the deadline travels as an
         absolute monotonic expiry.  The merge is byte-for-byte the same
         loop, in the same span order, so results stay bitwise identical
-        to the serial and thread paths.  Trace spans are reconstructed
+        to the inline path.  Trace spans are reconstructed
         post-hoc from the per-shard outcomes (a worker process cannot
         write into the parent's tracer ring).
 
         Returns ``None`` when the published replica does not match this
         scan's captured snapshot (a mutation landed between the snapshot
         capture and replica publication) — the caller then falls back to
-        the in-process fan-out over the snapshot it actually holds.
+        the inline fan-out over the snapshot it actually holds.
         """
         trace_span = opts.span
         handle = procpool.ensure_replica(self.index)
@@ -779,28 +745,25 @@ class ShardedFexiproIndex:
         return spans
 
     def _maybe_procpool(self, opts: ScanOptions):
-        """The process pool to fan out on, or ``None`` for in-process.
+        """The process pool to fan out on, or ``None`` for inline.
 
         Explicit ``executor="process"`` gets the pool whenever the host
-        can start one (falling back to the in-process path otherwise —
-        never an error, matching the thread pool's clamp-to-one-core
-        behaviour).  ``"auto"`` is conservative: real parallelism must be
-        worth having (multiple workers, shards and cores) and nothing
+        can start one (falling back inline otherwise — never an error).
+        ``"auto"`` is conservative: real parallelism must be worth having
+        (multiple workers, shards and usable cores) and nothing
         in-process-only may be armed — a live fault injector fires in the
         *parent's* sites, and a tracer's ring only the parent can write
         block-level events into.
         """
-        executor = getattr(self, "executor", "auto")
-        if executor in ("thread", "serial"):
+        if self.executor == "serial":
             return None
         from ..serve.procpool import process_executor_usable
 
         if not process_executor_usable():
             return None
-        if executor == "auto":
-            workers = max(1, min(self.workers, self.n_shards))
-            if workers < 2 or self.n_shards < 2 \
-                    or (os.cpu_count() or 1) < 2 \
+        if self.executor == "auto":
+            if min(self.workers, self.n_shards) < 2 \
+                    or usable_cores() < 2 \
                     or _faultsites.active is not None \
                     or opts.span is not None:
                 return None
@@ -814,23 +777,6 @@ class ShardedFexiproIndex:
                 max(1, min(self.workers, self.n_shards)))
         return self._procpool
 
-    def _resolve_pool(self, pool):
-        if pool is not None:
-            return pool
-        if self._pool is None:
-            from ..serve.executor import WorkerPool
-
-            workers = max(1, min(self.workers, self.n_shards))
-            if getattr(self, "executor", "auto") == "serial":
-                workers = 1
-            self._pool = WorkerPool(workers)
-        return self._pool
-
-    @property
-    def resolved_workers(self) -> int:
-        """Effective intra-query pool size (after shard/core clamping)."""
-        return self._resolve_pool(None).workers
-
     # ------------------------------------------------------------------
     # Persistence and lifecycle
     # ------------------------------------------------------------------
@@ -839,9 +785,8 @@ class ShardedFexiproIndex:
         """Persist the sharded index (inner index + shard configuration).
 
         Checksummed format 2 (:mod:`repro.core.persist`), same pickle
-        caveats as :meth:`FexiproIndex.save`; the worker pool is never
-        stored — it is recreated (and re-clamped to the loading host's
-        cores) on first use.
+        caveats as :meth:`FexiproIndex.save`; the worker processes are
+        never stored — they are restarted on first use.
         """
         from .persist import save_checksummed
 
@@ -861,21 +806,21 @@ class ShardedFexiproIndex:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_pool"] = None      # thread pools do not pickle
-        state["_procpool"] = None  # neither do process pools
+        state["_procpool"] = None  # process pools do not pickle
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # Files saved before the executor knob existed restore cleanly.
-        self.__dict__.setdefault("executor", "auto")
+        # Older files carry a thread-pool slot and may name the retired
+        # "thread" executor, whose schedule is now the inline one; files
+        # saved before the executor knob existed restore as "auto".
+        self.__dict__.pop("_pool", None)
+        if self.__dict__.setdefault("executor", "auto") == "thread":
+            self.executor = "serial"
         self.__dict__.setdefault("_procpool", None)
 
     def close(self) -> None:
-        """Shut the internal pools down (if any were ever created)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Shut the worker processes down (if any were ever started)."""
         if self._procpool is not None:
             self._procpool.close()
             self._procpool = None

@@ -4,8 +4,9 @@ The paper's conclusion names LEMP-style batch workloads as the natural
 extension of single-query FEXIPRO; this package is that extension's serving
 layer:
 
-- :class:`RetrievalService` — answers query batches through a chunked
-  thread pool, with per-query latency capture and pruning-counter rollups.
+- :class:`RetrievalService` — answers query batches in chunks, inline or
+  on worker processes, with per-query latency capture and pruning-counter
+  rollups.
   Wrapping a :class:`~repro.core.sharded.ShardedFexiproIndex` unlocks a
   second parallelism axis: small batches are routed down the *intra-query*
   path (each query fanned over the index's length-band shards), large
@@ -15,11 +16,12 @@ layer:
   tunables;
 - :class:`MetricsRegistry`, :class:`Counter`, :class:`Histogram` — a
   dependency-free metrics substrate the engines feed;
-- :class:`WorkerPool` + chunking helpers — the execution layer;
-- :class:`ProcessScanPool` (PR 6) — a multi-process executor that runs
-  scans on real cores over a shared-memory (mmap) replica of the index,
-  selected via ``ServiceConfig.executor`` (``"auto"`` picks it whenever
-  it can win; results stay bitwise identical);
+- :class:`WorkerPool` + chunking helpers — the inline execution layer;
+- :class:`ProcessScanPool` — a multi-process executor that runs scans on
+  real cores over a shared-memory (mmap) replica of the index, selected
+  via ``ServiceConfig.executor`` (``"auto"`` picks it whenever it can
+  win, and the inline schedule otherwise; results stay bitwise
+  identical);
 - a failure model (PR 3): per-query :class:`Deadline` budgets with
   exact-prefix degradation, per-query fault isolation surfacing
   :class:`QueryError` entries (with a bounded :class:`RetryPolicy`), a

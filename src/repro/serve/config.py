@@ -2,22 +2,21 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
+from .._host import usable_cores
 from ..exceptions import ValidationError
 
 
 def default_workers() -> int:
-    """A sensible worker count for this host: one per core, capped at 8.
+    """A sensible worker count for this host: one per usable core, at most 8.
 
-    The scan workload is NumPy-kernel-bound, so threads beyond the core
-    count only add scheduling noise; the cap keeps a big machine from
-    spawning dozens of threads for a layer whose block scans already
-    saturate memory bandwidth with a few.
+    Scan workers beyond the usable cores only add scheduling noise; the
+    cap keeps a big machine from starting dozens of processes for a layer
+    whose block scans already saturate memory bandwidth with a few.
     """
-    return max(1, min(8, os.cpu_count() or 1))
+    return min(8, usable_cores())
 
 
 @dataclass(frozen=True)
@@ -27,9 +26,10 @@ class ServiceConfig:
     Parameters
     ----------
     workers:
-        Thread-pool size.  ``1`` runs batches inline (no pool, fully
-        deterministic scheduling) — useful for debugging and as the serial
-        baseline in benchmarks.
+        Worker processes of the process executor.  ``1`` makes ``"auto"``
+        run every scan inline on the calling thread (fully deterministic
+        scheduling) — useful for debugging and as the serial baseline in
+        benchmarks.
     chunk_size:
         Queries per pool task.  ``None`` picks ``ceil(m / (4 * workers))``
         so each worker sees about four chunks per batch: large enough that
@@ -54,15 +54,16 @@ class ServiceConfig:
         into the model.  All engines return bitwise-identical ids and
         scores, so this knob can only ever change latency.
     executor:
-        How scans execute on the pool.  ``"thread"`` is the historical
-        GIL-bound thread pool; ``"process"`` runs scans in worker
-        *processes* attached zero-copy to a shared-memory replica of the
-        index (:mod:`repro.serve.procpool`) — real cores for the
-        Python-heavy pruning cascade; ``"serial"`` forces inline
-        execution; ``"auto"`` (default) picks processes when they can
-        win (multiple workers and cores, a real monotonic clock, no
-        armed fault injector) and threads otherwise.  Results are
-        bitwise identical across all four.
+        Where scans execute.  ``"process"`` runs blocked-engine scans in
+        worker *processes* attached zero-copy to a shared-memory replica
+        of the index (:mod:`repro.serve.procpool`) — real cores for the
+        Python-heavy pruning cascade; every other scan (another engine,
+        a traced batch, a campaign, an armed fault injector) runs inline.
+        ``"serial"`` runs everything inline on the calling thread.
+        ``"auto"`` (default) picks processes when they can win (multiple
+        workers and usable cores, a start method the host supports, the
+        real monotonic clock) and serial otherwise.  Results are bitwise
+        identical across all three.
     mp_start_method:
         Start method for process executors (``"fork"`` / ``"spawn"`` /
         ``"forkserver"``); ``None`` defers to the ``REPRO_MP_START``
@@ -230,10 +231,10 @@ class ServiceConfig:
                 f"engine must be one of ('reference', 'blocked', 'gemm', "
                 f"'auto') or None; got {self.engine!r}"
             )
-        if self.executor not in ("auto", "process", "thread", "serial"):
+        if self.executor not in ("auto", "process", "serial"):
             raise ValidationError(
-                f"executor must be one of ('auto', 'process', 'thread', "
-                f"'serial'); got {self.executor!r}"
+                f"executor must be one of ('auto', 'process', 'serial'); "
+                f"got {self.executor!r}"
             )
         if self.mp_start_method is not None and (
                 not isinstance(self.mp_start_method, str)

@@ -1,25 +1,27 @@
-"""Chunked thread-pool execution for query batches.
+"""Chunking helpers and the serving layer's inline task runner.
 
-Threads — not processes — are the right pool for this workload: the blocked
-scan spends its time inside NumPy kernels that release the GIL, the index
-is shared read-only (zero pickling, zero copies), and results come back as
-small Python objects.  Chunking groups several queries per task so pool
-overhead is amortized while the per-chunk NumPy work of different workers
-overlaps.
+A scan runs in one of two places: inline on the caller's thread, or on
+the :class:`~repro.serve.procpool.ProcessScanPool` (worker processes
+attached to a shared-memory replica of the index).  There is no thread
+pool.  The pruning cascade spends much of its time in Python, so threads
+serialize on the GIL: on a 2-core host a thread pool measured slower than
+the inline scan on every path it served (service batches, sharded single
+queries and campaigns).
+
+Both paths chunk a batch the same way: :func:`resolve_chunk_size` picks
+the queries per task and :func:`chunk_spans` cuts the batch into
+consecutive spans.  :class:`WorkerPool` runs the chunks inline, in order,
+with the per-task ``worker`` fault site and per-task failure isolation
+the serving layer's retry and error accounting are built on.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from .. import _faultsites
 from ..exceptions import ServiceClosedError, ValidationError
-
-logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -62,31 +64,14 @@ def chunk_spans(total: int, chunk_size: int) -> List[Tuple[int, int]]:
 
 
 class WorkerPool:
-    """An order-preserving map over a lazily created thread pool.
+    """An order-preserving inline map over serving tasks.
 
-    With ``workers == 1`` everything runs inline on the calling thread —
-    no pool, no handoff — which doubles as the serial baseline for the
-    parallel-speedup benchmark and keeps single-worker deployments free of
-    threading entirely.
-
-    The effective pool size is ``min(workers, host cores)``: the scans are
-    NumPy-kernel-bound, so threads beyond the core count only add
-    scheduling noise.  The original request survives as :attr:`requested`
-    (and both ends up in the serving metrics snapshot), so a config written
-    for a big machine ports to a laptop without edits or surprises.
+    Every task runs on the calling thread, in input order, after passing
+    through the ``worker`` fault-injection site.  The pool also carries
+    the service's lifecycle: once closed, :meth:`map` raises.
     """
 
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise ValidationError(f"workers must be positive; got {workers}")
-        self.requested = int(workers)
-        self.workers = max(1, min(self.requested, os.cpu_count() or 1))
-        if self.workers != self.requested:
-            logger.debug(
-                "worker pool clamped to %d (requested %d, host has %d cores)",
-                self.workers, self.requested, os.cpu_count() or 1,
-            )
-        self._executor: Optional[ThreadPoolExecutor] = None
+    def __init__(self):
         self._closed = False
 
     def map(self, fn: Callable[[T], R], items: Sequence[T], *,
@@ -104,27 +89,17 @@ class WorkerPool:
         """
         if self._closed:
             raise ServiceClosedError("worker pool is closed")
-
-        def call(item: T):
-            if _faultsites.active is not None:
-                _faultsites.fire(_faultsites.WORKER, "pool.map")
-            return fn(item)
-
-        def guarded(item: T):
+        results: List = []
+        for item in items:
             try:
-                return call(item)
+                if _faultsites.active is not None:
+                    _faultsites.fire(_faultsites.WORKER, "pool.map")
+                results.append(fn(item))
             except Exception as error:
-                return error
-
-        task = guarded if return_exceptions else call
-        if self.workers == 1 or len(items) <= 1:
-            return [task(item) for item in items]
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-serve",
-            )
-        return list(self._executor.map(task, items))
+                if not return_exceptions:
+                    raise
+                results.append(error)
+        return results
 
     @property
     def closed(self) -> bool:
@@ -132,14 +107,8 @@ class WorkerPool:
         return self._closed
 
     def close(self) -> None:
-        """Shut the pool down; further ``map`` calls raise.
-
-        Idempotent: closing an already-closed pool is a no-op.
-        """
+        """Refuse further ``map`` calls (idempotent)."""
         self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -11,7 +11,8 @@ injector is armed):
   or stalls *inside* a scan exactly as a bad memory page or a stolen CPU
   would;
 - ``worker`` — fired by :class:`repro.serve.executor.WorkerPool` before
-  each pool task, modelling executor-level failures;
+  each serving task (a chunk of queries or probes), modelling
+  executor-level failures;
 - ``io``     — a byte-level transform applied to the serialized index
   payload in :mod:`repro.core.persist`, modelling bit rot and torn writes.
 

@@ -8,10 +8,12 @@ answered in two phases:
    :func:`repro.core.index.prepare_query_states`, the same single
    implementation the one-off :meth:`FexiproIndex.query` path uses.  Results
    are therefore bit-identical to a serial loop, pool or no pool.
-2. **Scan** — query states are chunked and scanned on a thread pool.  The
-   index is shared read-only; each scan's heavy arithmetic runs in NumPy
-   kernels that release the GIL, so chunks genuinely overlap on multicore
-   hosts.
+2. **Scan** — query states are chunked and scanned either on the
+   :class:`~repro.serve.procpool.ProcessScanPool` (worker processes
+   attached to a shared-memory replica of the index, real cores for the
+   Python-heavy pruning cascade) or inline on the calling thread.  Which
+   one is ``ServiceConfig.executor``'s call; the inline path is the
+   reference schedule every exactness suite pins.
 
 On top of the two phases sits a failure model (PR 3 — see ``DESIGN.md``
 §2.8):
@@ -24,7 +26,7 @@ On top of the two phases sits a failure model (PR 3 — see ``DESIGN.md``
   ``deadline_policy``.
 - **Per-query fault isolation** — a raising query no longer poisons the
   batch: it becomes a structured
-  :class:`~repro.serve.resilience.QueryError` in
+  :class:`~repro.exceptions.QueryError` in
   :attr:`BatchResponse.errors` (after one bounded retry for transient
   faults), every other query is served normally.
 - **Circuit breaker** — consecutive intra-query shard-fan-out failures
@@ -43,7 +45,6 @@ counters.
 from __future__ import annotations
 
 import math
-import os
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -52,6 +53,7 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 
 from .. import _faultsites
+from .._host import usable_cores
 from .._validation import as_query_matrix, as_query_vector, check_k
 from ..core.index import FexiproIndex, prepare_query_states
 from ..core.reverse import (
@@ -174,7 +176,7 @@ class BatchResponse:
 
 
 class RetrievalService:
-    """Answer query batches over a shared index with a worker pool.
+    """Answer query batches over a shared index, inline or on processes.
 
     Parameters
     ----------
@@ -222,8 +224,8 @@ class RetrievalService:
         for deterministic resilience tests.
 
     The service is a context manager; leaving the ``with`` block shuts the
-    worker pool down (``close()`` is idempotent, and serving after close
-    raises :class:`~repro.exceptions.ServiceClosedError`).
+    worker processes down (``close()`` is idempotent, and serving after
+    close raises :class:`~repro.exceptions.ServiceClosedError`).
     """
 
     def __init__(self,
@@ -279,10 +281,12 @@ class RetrievalService:
         self.metrics_server = None
         self._clock = clock
         self._executor_mode = self._resolve_executor()
-        self._pool = WorkerPool(
-            1 if self._executor_mode == "serial" else self.config.workers)
+        # Workers that can scan at once: sizes chunks and the intra-query
+        # routing limit.
+        self._workers = 1 if self._executor_mode == "serial" \
+            else min(self.config.workers, usable_cores())
+        self._pool = WorkerPool()
         self._procpool = None
-        self._serial_pool: Optional[WorkerPool] = None
         self._breaker = CircuitBreaker(
             threshold=self.config.breaker_threshold,
             cooldown=self.config.breaker_cooldown_ms / 1e3,
@@ -486,13 +490,11 @@ class RetrievalService:
         For each catalog item id in ``items``, computes the exact
         audience — every user whose forward top-k would contain it — via
         the attached :class:`~repro.core.reverse.ReverseIndex`.  Probes
-        are chunked over the worker pool (the reverse scan's heavy
-        arithmetic runs in GIL-releasing NumPy/BLAS kernels), one
-        snapshot pair pinned before the first probe serves them all, and
-        failures are isolated per probe exactly like :meth:`batch`: a
-        failed probe's slot is ``None`` with a structured
-        :class:`~repro.exceptions.QueryError` in ``errors``.  The
-        service's per-query deadline (``config.deadline_ms``) arms each
+        run inline in chunks, one snapshot pair pinned before the first
+        probe serves them all, and failures are isolated per probe
+        exactly like :meth:`batch`: a failed probe's slot is ``None``
+        with a structured :class:`~repro.exceptions.QueryError` in
+        ``errors``.  The service's per-query deadline (``config.deadline_ms``) arms each
         probe's verification scans; a deadline that expires mid-probe
         fails *that probe* (an audience is exact or absent, never
         partial).  ``engine`` overrides the configured scan engine for
@@ -528,7 +530,7 @@ class RetrievalService:
         results: List[Optional[ReverseResult]] = [None] * m
         provenance: List[str] = ["error"] * m
         errors: List[QueryError] = []
-        chunk_size = resolve_chunk_size(m, self._pool.workers,
+        chunk_size = resolve_chunk_size(m, self._workers,
                                         self.config.chunk_size)
         spans = chunk_spans(m, chunk_size)
 
@@ -667,28 +669,28 @@ class RetrievalService:
     # ------------------------------------------------------------------
 
     def _resolve_executor(self) -> str:
-        """Resolve ``config.executor`` to a concrete backend, once.
+        """Resolve ``config.executor`` to ``"process"`` or ``"serial"``, once.
 
         ``"auto"`` picks processes only when they can actually win:
-        several workers, several cores, a process start method the host
-        supports, and the real monotonic clock (an injected fake clock
-        cannot tick inside another process, so deadline semantics would
-        silently change).  Explicit ``"process"`` is honoured even when
-        those heuristics say no — per-call guards still drop to the
-        serial fallback when the pool cannot serve (and count it as
-        ``policy.intra_fallback``).
+        several workers, several usable cores, a process start method
+        the host supports, and the real monotonic clock (an injected fake
+        clock cannot tick inside another process, so deadline semantics
+        would silently change).  Explicit ``"process"`` is honoured even
+        when those heuristics say no — per-call guards still run the scan
+        inline when the pool cannot serve (counted as
+        ``policy.process_fallback`` / ``policy.intra_fallback``).
         """
         from .procpool import process_executor_usable
 
         mode = self.config.executor
-        if mode in ("process", "thread", "serial"):
+        if mode != "auto":
             return mode
         if (self.config.workers > 1
-                and (os.cpu_count() or 1) > 1
+                and usable_cores() > 1
                 and self._clock is time.monotonic
                 and process_executor_usable(self.config.mp_start_method)):
             return "process"
-        return "thread"
+        return "serial"
 
     def _acquire_procpool(self):
         """The live process pool, or ``None`` when it cannot serve now.
@@ -711,18 +713,6 @@ class RetrievalService:
             except ValidationError:
                 return None
         return self._procpool
-
-    def _fallback_pool(self) -> WorkerPool:
-        """The honest serial fan-out used when the process pool is out.
-
-        Deliberately *not* the thread pool: GIL-bound shard scans on
-        threads were measured at 0.87x the serial scan — the regression
-        this executor exists to fix — so the degraded path runs shards
-        inline instead of pretending threads parallelize them.
-        """
-        if self._serial_pool is None or self._serial_pool.closed:
-            self._serial_pool = WorkerPool(1)
-        return self._serial_pool
 
     # ------------------------------------------------------------------
     # The two parallelism axes
@@ -750,7 +740,7 @@ class RetrievalService:
             return "inter"
         limit = self.config.intra_query_batch_max
         if limit is None:
-            limit = max(2, self._pool.workers) - 1
+            limit = max(2, self._workers) - 1
         if not 0 < batch_size <= limit:
             return "inter"
         allowed, event = self._breaker.allow()
@@ -847,13 +837,16 @@ class RetrievalService:
                           snap=None,
                           ) -> Tuple[List[Optional[RetrievalResult]],
                                      List[Optional[Tuple[int, ...]]]]:
-        """Spread whole queries over the pool (the PR-1 batch path).
+        """Scan whole queries, one per task (the inter-query batch path).
 
-        Isolation is two-level: each query inside a chunk is guarded
-        individually (:meth:`_scan_one`), and a chunk that dies before its
-        per-query guards engage (a ``worker``-site fault in the pool) is
-        retried inline once if transient, else all its queries are marked
-        failed — the rest of the batch is untouched either way.
+        Blocked-engine scans go to the process pool when the executor is
+        ``"process"`` and the batch is untraced (a worker process cannot
+        write spans into the parent's tracer); everything else runs
+        inline in chunks.  Isolation is two-level: each query inside a
+        chunk is guarded individually (:meth:`_scan_one`), and a chunk
+        that dies before its per-query guards engage (a ``worker``-site
+        fault) is retried once if transient, else all its queries are
+        marked failed — the rest of the batch is untouched either way.
 
         ``indices`` maps local state positions to batch positions (they
         differ when cache hits were carved out of the batch) — error
@@ -866,7 +859,7 @@ class RetrievalService:
         if snap is None:
             snap = self.index._live
         if self._executor_mode == "process" \
-                and engine in (None, "blocked"):
+                and engine in (None, "blocked") and parent_span is None:
             # Worker processes run the blocked cascade; an explicit
             # non-blocked engine decision must be honoured in-process.
             procpool = self._acquire_procpool()
@@ -881,7 +874,7 @@ class RetrievalService:
                         parent_span=parent_span,
                         budget_flops=budget_flops, snap=snap)
         collect = timings is not None
-        chunk_size = resolve_chunk_size(len(states), self._pool.workers,
+        chunk_size = resolve_chunk_size(len(states), self._workers,
                                         self.config.chunk_size)
         spans = chunk_spans(len(states), chunk_size)
 
@@ -941,7 +934,7 @@ class RetrievalService:
         dispatch failed, or the published replica does not match this
         batch's catalog snapshot because a mutation raced the publish) —
         counted as ``policy.process_fallback`` — and the caller runs the
-        proven thread path over the snapshot it actually holds.  Query
+        scans inline over the snapshot it actually holds.  Query
         states are tiny (a handful of scalars plus one reduced vector),
         so pickling them per batch is noise next to the scans; the index
         itself never travels — workers attach the shared-memory replica.
@@ -987,7 +980,7 @@ class RetrievalService:
         (policy is serving-layer law, workers only report what they
         scanned).  ``"err"`` outcomes are replayed locally through
         :meth:`_scan_one` so retry, isolation and metrics semantics stay
-        byte-for-byte those of the thread path.
+        byte-for-byte those of the inline path.
         """
         if snap is None:
             snap = self.index._live
@@ -1132,8 +1125,11 @@ class RetrievalService:
                                      List[Optional[Tuple[int, ...]]]]:
         """Answer queries one at a time, each fanned over the index shards.
 
-        A shard fan-out failure feeds the circuit breaker and the query
-        immediately falls back to the proven single-scan path
+        The fan-out runs on the process pool when the executor is
+        ``"process"``, the engine is the blocked cascade and no finite
+        FLOP budget is armed; otherwise the shards run inline in band
+        order.  A shard fan-out failure feeds the circuit breaker and the
+        query immediately falls back to the proven single-scan path
         (:meth:`_scan_one`), so an unlucky shard costs latency, not the
         answer.  Successes re-close a half-open breaker.  ``indices`` and
         ``seeds`` behave as in :meth:`_scan_inter_query`; a warm seed
@@ -1145,22 +1141,16 @@ class RetrievalService:
             snap = self.index._live
         collect = timings is not None
         procpool = None
-        pool = self._pool
         budgeted = budget_flops is not None and math.isfinite(budget_flops)
         if self._executor_mode == "process" \
                 and engine in (None, "blocked") and not budgeted:
-            # A finite budget needs the deterministic serial greedy
-            # allocation inside _scan_sharded — the process fan-out
-            # cannot share one accounting cell across workers.
-            # Worker processes run the blocked cascade; a GEMM engine
-            # decision stays in-process on the thread pool, whose BLAS
-            # kernels release the GIL anyway.
+            # A finite budget needs the deterministic greedy allocation
+            # of the inline fan-out — the process fan-out cannot share
+            # one accounting cell across workers.  Worker processes run
+            # the blocked cascade; another engine runs inline.
             procpool = self._acquire_procpool()
             if procpool is None:
-                # Satellite of the 0.87x fix: without real cores the
-                # shard fan-out runs honestly serial, and says so.
                 self.metrics.counter("policy.intra_fallback").inc()
-                pool = self._fallback_pool()
         results: List[Optional[RetrievalResult]] = []
         positions: List[Optional[Tuple[int, ...]]] = []
         for local, state in enumerate(states):
@@ -1184,16 +1174,15 @@ class RetrievalService:
                             snap, sharded._catalog_spans(snap))
                         # None: the published replica raced a mutation
                         # and no longer matches this batch's snapshot —
-                        # scan the snapshot we hold, honestly serial.
+                        # scan the snapshot we hold, inline.
                     if out is None:
                         out = sharded._scan_sharded(
                             state, k,
-                            pool=(self._fallback_pool()
-                                  if procpool is not None else pool),
                             collect_timings=collect,
                             options=options,
                             engine=engine,
                             snapshot=snap,
+                            inline=True,
                         )
                     buffer, stats, _reports, scan_timings = out
                     elapsed = time.perf_counter() - scan_started
@@ -1412,8 +1401,9 @@ class RetrievalService:
         """A JSON-serializable snapshot of the service's metrics.
 
         Besides the registry contents this reports the deployment shape:
-        ``workers`` (requested vs. core-clamped resolved pool size and the
-        host core count), ``shards`` (the wrapped index's shard count, or
+        ``workers`` (requested vs. resolved worker count — clamped to the
+        usable cores, ``1`` under the serial executor — and the usable
+        core count), ``shards`` (the wrapped index's shard count, or
         ``None`` for a plain single-scan index), ``executor`` (the
         configured and resolved scan backend, plus the live process
         pool's start method, per-worker task counts and replicas when one
@@ -1423,9 +1413,9 @@ class RetrievalService:
         """
         snapshot = self.metrics.snapshot()
         snapshot["workers"] = {
-            "requested": self._pool.requested,
-            "resolved": self._pool.workers,
-            "host_cores": os.cpu_count() or 1,
+            "requested": self.config.workers,
+            "resolved": self._workers,
+            "host_cores": usable_cores(),
         }
         snapshot["shards"] = (self.sharded_index.n_shards
                               if self.sharded_index is not None else None)
@@ -1467,7 +1457,7 @@ class RetrievalService:
         return self._pool.closed
 
     def close(self) -> None:
-        """Shut the worker pool down; the service cannot serve afterwards.
+        """Shut the worker processes down; the service cannot serve again.
 
         Idempotent — a second ``close()`` is a no-op, while serving after
         close raises :class:`~repro.exceptions.ServiceClosedError`.
@@ -1479,9 +1469,6 @@ class RetrievalService:
         if self._procpool is not None:
             self._procpool.close()
             self._procpool = None
-        if self._serial_pool is not None:
-            self._serial_pool.close()
-            self._serial_pool = None
         self._pool.close()
 
     def __enter__(self) -> "RetrievalService":

@@ -18,7 +18,6 @@ schedules below inject real scan faults while the catalog churns, and
 assert that every query either fails loudly or answers exactly.
 """
 
-import math
 import os
 import threading
 
@@ -160,7 +159,7 @@ def test_sharded_and_single_agree_under_mutation(flavour):
 
 
 # ----------------------------------------------------------------------
-# A query racing writers and the compactor (thread executor)
+# A query racing writers and the compactor
 # ----------------------------------------------------------------------
 
 
@@ -214,7 +213,7 @@ def test_query_races_writer_and_compactor_bitwise():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
 def test_mutation_chaos_schedule_is_exact_or_loud(executor):
     """Seeded fault sweep over interleaved add/remove/compact/query.
 

@@ -69,7 +69,7 @@ def assert_same_result(a, b):
     Only serial-equivalent schedules (one scan worker, or per-query
     independent scans) promise counter identity — concurrent shard
     fan-out races the shared threshold, so skip counts legitimately
-    vary there, exactly as in the thread path.
+    vary there.
     """
     assert_same_answer(a, b)
     assert a.stats.as_dict() == b.stats.as_dict()
@@ -96,8 +96,9 @@ def test_resolve_start_method_rejects_unavailable():
 
 
 def test_service_config_validates_executor_knobs():
-    with pytest.raises(ValidationError):
-        ServiceConfig(executor="bogus")
+    for retired in ("bogus", "thread"):
+        with pytest.raises(ValidationError):
+            ServiceConfig(executor=retired)
     with pytest.raises(ValidationError):
         ServiceConfig(mp_start_method="bogus")
     assert ServiceConfig(executor="process").executor == "process"
@@ -111,8 +112,28 @@ def test_procpool_rejects_bad_workers():
 
 
 def test_sharded_index_validates_executor(small_items):
-    with pytest.raises(ValidationError):
-        ShardedFexiproIndex(small_items, shards=2, executor="bogus")
+    for retired in ("bogus", "thread"):
+        with pytest.raises(ValidationError):
+            ShardedFexiproIndex(small_items, shards=2, executor=retired)
+
+
+def test_auto_executor_resolves_to_process_or_serial(small_items,
+                                                     monkeypatch):
+    """``auto`` never picks anything but the process pool or the inline
+    schedule: an injected clock, one worker or one usable core all
+    resolve to serial."""
+    import repro.serve.service as service_module
+
+    index = FexiproIndex(small_items)
+
+    def mode(config, **kwargs):
+        with RetrievalService(index, config, **kwargs) as service:
+            return service.metrics_snapshot()["executor"]["mode"]
+
+    assert mode(ServiceConfig(workers=2), clock=lambda: 0.0) == "serial"
+    assert mode(ServiceConfig(workers=1)) == "serial"
+    monkeypatch.setattr(service_module, "usable_cores", lambda: 1)
+    assert mode(ServiceConfig(workers=2)) == "serial"
 
 
 # ----------------------------------------------------------------------
@@ -291,14 +312,14 @@ def test_intra_falls_back_to_serial_when_pool_unavailable():
     with RetrievalService(sharded, config) as service:
         # An armed injector makes the process pool unusable (workers
         # could not replay the parent's in-flight chaos deterministically
-        # without rules of their own), so the service must fall back —
-        # to the serial scan, not the GIL-bound thread fan-out.
+        # without rules of their own), so the service must fall back to
+        # the inline scan.
         with FaultInjector([]):
             response = service.batch(queries[:1], k=6)
         assert response.mode == "intra"
         assert response.errors == []
-        # The fallback is the *serial* sharded scan (not the GIL-bound
-        # thread fan-out), so the identity is total.
+        # The fallback is the inline sharded scan, so the identity is
+        # total.
         assert_same_result(sharded.query(queries[0], k=6),
                            response.results[0])
         counters = service.metrics_snapshot()["counters"]

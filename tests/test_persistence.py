@@ -68,12 +68,27 @@ def test_sharded_save_load_round_trip(tmp_path, small_items, small_queries):
     assert loaded.n_shards == 5
     assert loaded.workers == 3
     assert loaded.spans == sharded.spans
-    assert loaded._pool is None  # pools are never persisted
+    assert loaded._procpool is None  # pools are never persisted
     for q in small_queries[:5]:
         a = sharded.query(q, k=6)
         b = loaded.query(q, k=6)
         assert a.ids == b.ids
         assert a.scores == b.scores
+
+
+def test_sharded_file_naming_retired_thread_executor_loads_serial(
+        tmp_path, small_items):
+    from repro import ShardedFexiproIndex
+
+    sharded = ShardedFexiproIndex(small_items, shards=2, variant="F-SIR")
+    # What a file written before the thread executor was retired holds.
+    sharded.executor = "thread"
+    sharded._pool = None
+    path = tmp_path / "older.pkl"
+    sharded.save(path)
+    loaded = ShardedFexiproIndex.load(path)
+    assert loaded.executor == "serial"
+    assert not hasattr(loaded, "_pool")
 
 
 def test_sharded_and_plain_formats_reject_each_other(tmp_path, small_items):

@@ -199,6 +199,26 @@ def test_mutations_invalidate_exact_bounds():
     assert got.user_ids == want_ids and got.kth_scores == want_kth
 
 
+def test_compaction_invalidates_exact_bounds():
+    """A fold keeps the visible items but re-derives the SVD basis, so a
+    fresh forward scan may round a user's k-th score differently.  The
+    table's exact thresholds — admission evidence and the source of
+    ``nextafter`` warm-start seeds — must not cross it.
+    """
+    items, users = make_corpora()
+    index = FexiproIndex(items, variant="F-SIR")
+    rindex = ReverseIndex(index, users)
+    index.add_items(items[:6] * 0.9)
+    probe = pick_probe(index, users, 8)
+    rindex.reverse_query(probe, 8)
+    assert rindex.reverse_query(probe, 8).stats.bounds_exact > 0
+    assert index.compact()
+    after = rindex.reverse_query(probe, 8)
+    assert after.stats.bounds_exact == 0
+    want_ids, want_kth = oracle_audience(index, users, probe, 8)
+    assert after.user_ids == want_ids and after.kth_scores == want_kth
+
+
 def test_user_mutations_change_the_audience_exactly():
     items, users = make_corpora()
     index = FexiproIndex(items, variant="F-SIR")
@@ -456,10 +476,12 @@ def test_reverse_races_writers_on_both_corpora_bitwise():
         stop.set()
         thread.join(timeout=30)
     assert not writer_error, writer_error
-    # The public path still answers exactly after the dust settles.
-    item = int(index._live.full_order[0])
-    got = rindex.reverse_query(item, 6)
+    # The public path still answers exactly after the dust settles.  The
+    # probe is a visible item: the writer may have tombstoned the one at
+    # base position 0 since the last fold.
     fsnap, usnap = rindex.pin()
+    item = int(fsnap.visible_rows()[1][0])
+    got = rindex.reverse_query(item, 6)
     want_ids, want_kth = snapshot_oracle(rindex, fsnap, usnap, item, 6)
     assert got.user_ids == want_ids and got.kth_scores == want_kth
 

@@ -1,9 +1,12 @@
 """Tests for the parallel batch serving layer (repro.serve)."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro import FexiproIndex
+from repro._host import usable_cores
 from repro.core.stats import PruningStats, StageTimings, aggregate_stats
 from repro.exceptions import ServiceClosedError, ValidationError
 from repro.serve import (
@@ -170,16 +173,17 @@ def test_chunk_spans_cover_range_exactly():
 
 
 def test_worker_pool_preserves_order():
-    with WorkerPool(4) as pool:
+    with WorkerPool() as pool:
         out = pool.map(lambda x: x * x, list(range(50)))
     assert out == [x * x for x in range(50)]
 
 
 def test_worker_pool_inline_when_single_worker():
-    pool = WorkerPool(1)
-    assert pool._executor is None
-    assert pool.map(str, [1, 2, 3]) == ["1", "2", "3"]
-    assert pool._executor is None  # never spun up a thread
+    pool = WorkerPool()
+    caller = threading.get_ident()
+    assert pool.map(lambda x: (str(x), threading.get_ident()),
+                    [1, 2, 3]) == [("1", caller), ("2", caller),
+                                   ("3", caller)]
     pool.close()
     pool.close()  # idempotent
     with pytest.raises(ServiceClosedError):
@@ -364,27 +368,31 @@ def test_intra_path_collects_timings_and_metrics():
 # ----------------------------------------------------------------------
 
 def test_worker_pool_clamps_to_host_cores():
-    import os
-
-    cores = os.cpu_count() or 1
-    pool = WorkerPool(1_000)
-    assert pool.requested == 1_000
-    assert pool.workers == min(1_000, cores)
-    pool.close()
-    pool = WorkerPool(1)
-    assert (pool.requested, pool.workers) == (1, 1)
-    pool.close()
+    """The service's resolved worker count — what sizes chunks and the
+    intra-query routing limit — is clamped to the usable cores (and is 1
+    on the serial executor); the request survives as ``requested``.
+    """
+    items, __ = make_mf_like(50, 4, seed=90)
+    index = FexiproIndex(items)
+    cores = usable_cores()
+    for executor, resolved in (("process", min(1_000, cores)),
+                               ("serial", 1)):
+        config = ServiceConfig(workers=1_000, executor=executor)
+        with RetrievalService(index, config) as service:
+            workers = service.metrics_snapshot()["workers"]
+        assert workers == {"requested": 1_000, "resolved": resolved,
+                           "host_cores": cores}
 
 
 def test_metrics_snapshot_reports_deployment_shape():
-    import os
-
     items, queries = make_mf_like(200, 8, seed=91)
     index = FexiproIndex(items)
     with RetrievalService(index, ServiceConfig(workers=3)) as service:
         service.batch(queries[:2], k=3)
         snapshot = service.metrics_snapshot()
     workers = snapshot["workers"]
+    cores = usable_cores()
     assert workers["requested"] == 3
-    assert workers["resolved"] == min(3, os.cpu_count() or 1)
-    assert workers["host_cores"] == (os.cpu_count() or 1)
+    mode = snapshot["executor"]["mode"]
+    assert workers["resolved"] == (1 if mode == "serial" else min(3, cores))
+    assert workers["host_cores"] == cores

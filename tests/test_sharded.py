@@ -5,8 +5,8 @@ shard count (including adversarial ones) and every query (including
 degenerate ones), ``ShardedFexiproIndex`` must return exactly the ids and
 scores of the single sequential scan.  ``workers=1`` runs the shards
 inline in band order, which makes the property deterministic; the
-thread-pool path is exercised separately (scheduling may reorder shard
-completions, but the merged answer may not change).
+process fan-out is exercised in ``tests/test_mp.py`` (scheduling may
+reorder shard completions, but the merged answer may not change).
 """
 
 import math
