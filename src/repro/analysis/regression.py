@@ -234,7 +234,7 @@ DEFAULT_SPECS: Dict[str, Tuple[MetricSpec, ...]] = {
         # The overhead fraction hovers near zero, so relative comparison
         # against the baseline is pure noise; the hard ceiling alone is
         # the acceptance criterion (attached-but-unsampled tracing must
-        # stay under 3% p50).
+        # stay under 3%, paired per query).
         MetricSpec("unsampled_overhead_fraction", "lower", 1000.0,
                    abs_floor=0.03),
         MetricSpec("untraced_p50_seconds", "lower", 0.5, gate=False),

@@ -14,11 +14,18 @@ stage's bound values are precomputed with vectorized kernels using the
 threshold ``t0`` frozen at block entry; since the live threshold only grows,
 any item a stage would prune under ``t0`` is also pruned under the live
 threshold, so later-stage values are lazily computed *only* for
-``t0``-survivors and are never needed for anything else.  A final scalar
-replay loop then walks the block in order, re-applying the cascade with the
-live threshold against the precomputed bound values — reproducing the exact
-stage attribution and early termination of the reference scan, while all
-O(n*d) arithmetic stays inside NumPy.
+``t0``-survivors and are never needed for anything else.
+
+Only the rows that survive every stage under ``t0`` (the *candidates*) can
+reach a full product, so Python walks just those, in order, re-applying the
+cascade with the live threshold.  The live pair ``(t, t')`` is constant
+between the admissions that move it, which splits the block into a few
+segments; the Cauchy–Schwarz termination point is the first failing row of
+the last segment, and once the visited prefix is known one array pass
+attributes every visited row to the stage the reference scan would have
+stopped it at, using its segment's threshold pair.  The stage attribution, early termination and
+admitted scores are exactly those of the reference scan, while all O(n*d)
+arithmetic and the per-row bookkeeping stay inside NumPy.
 """
 
 from __future__ import annotations
@@ -76,7 +83,8 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
     When ``options.timings`` is given, the wall time of each vectorized
     stage section is accumulated per block (a handful of clock calls per
     block — cheap enough to leave on in production serving), with the
-    scalar replay loop attributed to ``select``.
+    candidate walk and the attribution pass counted as ``select`` and the
+    walk's full-product dots as ``full``.
 
     ``start``/``stop`` restrict the scan to a contiguous span of sorted
     positions (a length-band *shard*); the returned buffer then holds
@@ -148,7 +156,6 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
     if shared is not None and shared.value > t:
         t = shared.value
     t_prime = -math.inf
-    terminated = False
     if span is not None:
         span.set(engine="blocked", start=start, stop=stop,
                  initial_threshold=t)
@@ -190,28 +197,31 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
         cs = q_norm * norms[bstart:bstop]
         # Everything at and after the first Cauchy-Schwarz failure is dead:
         # norms are sorted descending, so the scan would terminate there.
-        dead = np.nonzero(cs <= t0)[0]
+        dead = np.flatnonzero(cs <= t0)
         prefix = int(dead[0]) if dead.size else bstop - bstart
-        # Keep one failing row (if any) so the replay loop observes the
-        # termination itself rather than inferring it.
-        limit = prefix + (1 if dead.size else 0)
-        block = slice(bstart, bstart + limit)
-        local = np.arange(limit)
+        block = slice(bstart, bstart + prefix)
 
         ub1 = q_tail_norm * tail_norms[block]
 
-        alive = local[:prefix]
-        b_l = np.full(limit, np.nan)
-        b_h = np.full(limit, np.nan)
+        # Stage filters keep rows whose bound is *not* `<= t0` (rather
+        # than `> t0`), so a NaN bound survives exactly as it does the
+        # reference scan's scalar tests.  Each stage's bound sum is kept
+        # over the whole prefix (NaN where the stage was not reached) for
+        # the walk and the attribution pass below.
         if timed:
             tick = perf_counter()
-        if use_integer and alive.size:
-            rows = alive + bstart
-            int_dot = scaled.float_head[rows] @ qs.scaled.float_head
+        if use_integer:
+            # The scaled coordinates are integers of magnitude <= e stored
+            # as floats; at any practical e their products and sums stay
+            # below 2**53, hence exact in any summation order, so the
+            # contiguous slice needs no gathered copy.
+            int_dot = scaled.float_head[block] @ qs.scaled.float_head
             iu = (int_dot + qs.scaled.abs_sum_head
-                  + scaled.abs_sum_head[rows] + scaled.w)
-            b_l[alive] = iu * (head_factor_base / e_sq)
-            survivors = alive[b_l[alive] + ub1[alive] > t0]
+                  + scaled.abs_sum_head[block] + scaled.w)
+            b_l = iu * (head_factor_base / e_sq)
+            lo_partial = b_l + ub1
+            survivors = np.flatnonzero(~(lo_partial <= t0))
+            b_h = np.full(prefix, np.nan)
             if survivors.size:
                 rows = survivors + bstart
                 tail_len = scaled.d - scaled.w
@@ -222,23 +232,26 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
                     b_h[survivors] = iu * (tail_factor_base / e_sq)
                 else:
                     b_h[survivors] = 0.0
-            alive = survivors[b_l[survivors] + b_h[survivors] > t0] \
-                if survivors.size else survivors
+            lo_full = b_l + b_h
+            alive = survivors[~(lo_full[survivors] <= t0)]
+        else:
+            alive = np.arange(prefix)
         if timed:
             now = perf_counter()
             timings.integer += now - tick
             tick = now
 
-        v_head = np.full(limit, np.nan)
+        v_head = np.full(prefix, np.nan)
         if alive.size:
             v_head[alive] = items_bar[alive + bstart, :w] @ q_head
-            alive = alive[v_head[alive] + ub1[alive] > t0]
+        lo_incremental = v_head + ub1
+        alive = alive[~(lo_incremental[alive] <= t0)]
         if timed:
             now = perf_counter()
             timings.incremental += now - tick
             tick = now
 
-        mono = np.full(limit, np.nan)
+        mono = np.full(prefix, np.nan)
         if use_reduction and alive.size:
             rows = alive + bstart
             head_partial = (2.0 * v_head[alive] * qs.monotone.inv_norm
@@ -247,14 +260,23 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
             mono[alive] = head_partial + (
                 qs.monotone.tail_norm * reduction.item_tail_norm[rows]
             ) + reduction.slack
-            if t_prime > -math.inf:
-                alive = alive[mono[alive] > t_prime]
         if timed:
             now = perf_counter()
             timings.monotone += now - tick
             tick = now
 
-        # --- Scalar replay with the live threshold ----------------------
+        # --- Candidate walk with the live threshold ---------------------
+        # `alive` now holds the candidates: the live threshold only grows,
+        # so no other row can reach a full product.  The walk re-tests
+        # them in order under the live (t, t_prime); a candidate is pruned
+        # iff some stage bound is `<= t` (fmin skips NaN bounds, which
+        # never prune).  The pair is constant between admissions that
+        # move it, so each such admission opens a new segment.  `cs` is
+        # non-increasing inside the block, so every row before a
+        # candidate that passes Cauchy-Schwarz passes it too: the walk
+        # stops at the first candidate that fails, and the scan ends at
+        # the first failing row of the last segment.
+        #
         # Full products are NOT precomputed with a batched GEMV: BLAS can
         # round the same row's product differently depending on which other
         # rows share the call (alignment-dependent kernels), and admitted
@@ -263,32 +285,19 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
         # scores bit-identical to the single scan.  Survivors of the full
         # cascade are rare, so the per-row dots below are cheap; they use
         # the reference engine's exact formula.
+        gate = lo_incremental[alive]
+        if use_integer:
+            gate = np.fmin(gate, np.fmin(lo_partial[alive], lo_full[alive]))
+        seg_starts, seg_t, seg_tp = [0], [t], [t_prime]
         full_time = 0.0
-        for i in range(limit):
-            if cs[i] <= t:
-                stats.length_terminated = 1
-                terminated = True
-                if span is not None:
-                    span.event("length_terminated", position=bstart + i,
-                               threshold=t)
+        for c, cs_c, bound, mono_bound in zip(
+                alive.tolist(), cs[alive].tolist(), gate.tolist(),
+                mono[alive].tolist()):
+            if cs_c <= t:
                 break
-            stats.scanned += 1
-            if use_integer:
-                if b_l[i] + ub1[i] <= t:
-                    stats.pruned_integer_partial += 1
-                    continue
-                if b_l[i] + b_h[i] <= t:
-                    stats.pruned_integer_full += 1
-                    continue
-            v = v_head[i]
-            if v + ub1[i] <= t:
-                stats.pruned_incremental += 1
+            if bound <= t or (t_prime > -math.inf and mono_bound <= t_prime):
                 continue
-            if use_reduction and t_prime > -math.inf:
-                if mono[i] <= t_prime:
-                    stats.pruned_monotone += 1
-                    continue
-            row = bstart + i
+            row = bstart + c
             if timed:
                 tock = perf_counter()
             value = float(q_head @ items_bar[row, :w])
@@ -306,10 +315,50 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
                     t_prime = reduction.threshold(
                         t, qs.monotone, buffer.kth_item
                     )
+                if t != seg_t[-1] or t_prime != seg_tp[-1]:
+                    seg_starts.append(c + 1)
+                    seg_t.append(t)
+                    seg_tp.append(t_prime)
+        fails = np.flatnonzero(cs[seg_starts[-1]:prefix] <= t)
+        end = seg_starts[-1] + int(fails[0]) if fails.size else prefix
+
+        # --- Deferred attribution of the visited prefix [0, end) --------
+        # One pass in the reference cascade's compare order, each row
+        # tested against its own segment's (t, t_prime).  Rows that pass
+        # every test are exactly the walk's full products.
+        stats.scanned += end
+        if len(seg_starts) == 1:
+            live_t, live_tp = seg_t[0], seg_tp[0]
+        else:
+            lengths = np.diff(seg_starts + [end])
+            live_t = np.repeat(seg_t, lengths)
+            live_tp = np.repeat(seg_tp, lengths)
+        rest = np.ones(end, dtype=bool)
+        if use_integer:
+            cut = lo_partial[:end] <= live_t
+            stats.pruned_integer_partial += int(np.count_nonzero(cut))
+            rest ^= cut
+            cut = lo_full[:end] <= live_t
+            cut &= rest
+            stats.pruned_integer_full += int(np.count_nonzero(cut))
+            rest ^= cut
+        cut = lo_incremental[:end] <= live_t
+        cut &= rest
+        stats.pruned_incremental += int(np.count_nonzero(cut))
+        if use_reduction:
+            rest ^= cut
+            cut = mono[:end] <= live_tp
+            cut &= rest
+            cut &= live_tp > -math.inf
+            stats.pruned_monotone += int(np.count_nonzero(cut))
         if timed:
             timings.full += full_time
             timings.select += perf_counter() - tick - full_time
-        if terminated:
+        if end < bstop - bstart:
+            stats.length_terminated = 1
+            if span is not None:
+                span.event("length_terminated", position=bstart + end,
+                           threshold=t)
             break
     if span is not None:
         span.set(scanned=stats.scanned, full_products=stats.full_products,

@@ -131,8 +131,10 @@ class StageTimings:
     - ``incremental``: exact head partial products (Lines 9–13).
     - ``monotone``: reduced-space bound evaluation (Lines 14–17).
     - ``full``: residual exact products (Lines 18–20).
-    - ``select``: threshold bookkeeping — the candidate replay and top-k
-      buffer maintenance around the vectorized stages.
+    - ``select``: threshold bookkeeping — in the blocked engine, the walk
+      over each block's candidates (top-k buffer maintenance included)
+      plus the one array pass that attributes every visited row to its
+      pruning stage; the walk's full-product dots count as ``full``.
 
     The blocked engine attributes its vectorized per-block sections; the
     reference engine attributes per item.  Timing the reference engine's

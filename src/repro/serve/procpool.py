@@ -1,8 +1,8 @@
 """The multi-process scan executor: :class:`ProcessScanPool`.
 
 Threads cannot parallelize a scan: the blocked engine's pruning cascade
-spends much of its time in *Python* (per-row replay, heap pushes, bound
-bookkeeping), so the GIL serializes it (a thread fan-out measured 0.87x
+spends part of its time in *Python* (the candidate walk, heap pushes,
+bound bookkeeping), so the GIL serializes it (a thread fan-out measured 0.87x
 the serial scan).  This module runs the same shard/chunk tasks on real
 cores:
 
